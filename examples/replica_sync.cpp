@@ -53,6 +53,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(worst_bits));
   std::printf(
       "(At this laptop-scale fleet the tournament's constants dominate; "
-      "the asymptotic win is the E9 bench's crossover table.)\n");
+      "the asymptotic win is the E9 experiment's crossover table.)\n");
   return 0;
 }

@@ -1,4 +1,4 @@
-// Concrete adversary strategies used across tests, benches and examples.
+// Concrete adversary strategies used across tests, experiments and examples.
 //
 // Every strategy derives from Adversary and additionally implements the
 // capability interfaces the protocols probe for (VoteRusher from aeba/,

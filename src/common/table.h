@@ -1,9 +1,9 @@
-// Aligned-text and CSV table output shared by the bench harnesses.
+// Aligned-text table output for the paper-experiment grids.
 //
-// Every bench binary in bench/ prints one (or a few) tables in the same
-// format: a caption naming the paper claim, a header row, then data rows.
-// Keeping formatting here means every experiment reads the same way in
-// EXPERIMENTS.md.
+// Every experiment (sim/experiments.h, `ba_sweep --grid eK`) prints one or
+// a few tables in the same format: a caption naming the paper claim, a
+// header row, then data rows. Keeping formatting here means every
+// experiment reads the same way.
 #pragma once
 
 #include <iosfwd>
@@ -26,10 +26,9 @@ class Table {
   /// Aligned plain-text rendering with the caption on top.
   void print(std::ostream& os) const;
 
-  /// CSV rendering (no caption; header first).
-  void print_csv(std::ostream& os) const;
-
   std::size_t num_rows() const { return rows_.size(); }
+  std::size_t num_cols() const { return header_.size(); }
+  const std::vector<std::vector<Cell>>& rows() const { return rows_; }
   const std::string& caption() const { return caption_; }
 
  private:
@@ -39,10 +38,11 @@ class Table {
   std::vector<std::vector<Cell>> rows_;
 };
 
-/// Least-squares slope of log(y) vs log(x): the fitted exponent b in
-/// y ≈ a·x^b. Used by benches to report scaling shape. Ignores pairs with
-/// non-positive coordinates; requires at least two usable points.
-double fit_log_log_exponent(const std::vector<double>& xs,
-                            const std::vector<double>& ys);
+/// Ordinary least-squares slope of y on x. Fed log(n) and log(cost), it is
+/// the fitted exponent b in cost ≈ a·n^b — the one fit behind both the
+/// experiment tables and the BENCH_protocol.json exponent. Requires at
+/// least two distinct x values.
+double least_squares_slope(const std::vector<double>& x,
+                           const std::vector<double>& y);
 
 }  // namespace ba

@@ -11,7 +11,7 @@
 // iteration; `recover_secret` inverts the first. The tree protocol
 // (src/core/almost_everywhere.*) owns the *routing* of these shares along
 // uplinks; this header owns only the algebra, so Lemma 1's hiding property
-// can be tested in isolation (bench E8).
+// can be tested in isolation (crypto_test's Iterated and hiding cases).
 #pragma once
 
 #include <vector>

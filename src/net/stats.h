@@ -2,7 +2,7 @@
 //
 // Theorem 1's headline claim is Õ(√n) bits *sent per processor*; the ledger
 // tracks sends and receipts separately for good and corrupted processors so
-// benches can report protocol cost (good sends) independently of adversarial
+// experiments can report protocol cost (good sends) independently of adversarial
 // flooding (corrupt sends).
 #pragma once
 

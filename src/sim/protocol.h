@@ -3,7 +3,7 @@
 //
 // Each adapter reproduces the historical entry-point wiring for its kind
 // — network construction, adversary instantiation, input generation,
-// every Rng seed in the order the examples/benches/tests always drew them
+// every Rng seed in the order the examples/experiments/tests always drew them
 // — so a fixed (spec, seed_offset) produces byte-identical decisions,
 // agreement stats, and per-processor ledgers to the pre-scenario-layer
 // binaries. The adapters are stateless; `run_scenario` is the single

@@ -8,7 +8,7 @@
 // is "fingerprint invariant under the pool worker count"). Protocol-
 // specific metrics ride in `extras` (ordered key/value pairs) and the
 // full result structs in `detail` for consumers that need more than the
-// summary (examples printing word views, benches aggregating per-level
+// summary (examples printing word views, experiment projections aggregating per-level
 // stats).
 //
 // JSON emission is stable: fixed key order, shortest-round-trip doubles,

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/table.h"
 #include "sim/protocol.h"
 
 namespace ba::sim {
@@ -97,6 +98,11 @@ SweepJob parse_job_line(const std::string& line) {
   }
   job.spec = ScenarioSpec::from_kv(kv);  // rejects duplicate/unknown keys
   return job;
+}
+
+RunReport run_job(const SweepJob& job) {
+  const SweepJob parsed = parse_job_line(format_job_line(job));
+  return run_scenario(parsed.spec, parsed.seed_offset);
 }
 
 // -------------------------------------------------------------- grids --
@@ -349,20 +355,6 @@ struct FitInput {
   std::vector<double> x, y;
 };
 
-double slope_of(const std::vector<double>& x, const std::vector<double>& y) {
-  const double n = static_cast<double>(x.size());
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sx += x[i];
-    sy += y[i];
-    sxx += x[i] * x[i];
-    sxy += x[i] * y[i];
-  }
-  const double var = sxx - sx * sx / n;
-  BA_REQUIRE(var > 0, "exponent fit needs at least two distinct n");
-  return (sxy - sx * sy / n) / var;
-}
-
 double r2_of(const std::vector<double>& x, const std::vector<double>& y) {
   const double n = static_cast<double>(x.size());
   double sx = 0, sy = 0, sxx = 0, syy = 0, sxy = 0;
@@ -487,8 +479,8 @@ ProtocolLedger aggregate_reports(const std::vector<RunReport>& reports) {
       // log(bits / log2(n)^3): Õ(√n) with the Õ taken literally.
       log3.y.push_back(y - 3.0 * std::log(x / std::log(2.0)));
     }
-    fit.exponent = slope_of(raw.x, raw.y);
-    fit.log3_exponent = slope_of(log3.x, log3.y);
+    fit.exponent = least_squares_slope(raw.x, raw.y);
+    fit.log3_exponent = least_squares_slope(log3.x, log3.y);
     fit.r2 = r2_of(raw.x, raw.y);
     ledger.fit = std::move(fit);
   }

@@ -68,6 +68,10 @@ std::string format_job_line(const SweepJob& job);
 /// tokens — a fuzz artifact must be unambiguous.
 SweepJob parse_job_line(const std::string& line);
 
+/// Run one job in-process through its artifact (format -> parse -> run),
+/// so in-process grids exercise the job-line grammar like sharded ones.
+RunReport run_job(const SweepJob& job);
+
 // -------------------------------------------------------------- grids --
 
 /// One grid axis: a registry scenario crossed with n-overrides, worker

@@ -156,7 +156,7 @@ TEST(ProcessorElection, SubQuadraticAgainstStatic) {
   // Committee members legitimately send Θ(n); the claim is about totals:
   // below one round of the n² messages an all-to-all protocol sends. (At
   // n = 256 framing headers dominate; the scaling exponent separation is
-  // what bench E9 demonstrates.)
+  // what experiment E9 demonstrates.)
   const auto total = net.ledger().total_bits_sent(net.corrupt_mask(), false);
   EXPECT_GT(total, 0u);
   EXPECT_LT(total, n * n * (1 + kHeaderBits));

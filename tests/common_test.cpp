@@ -513,57 +513,22 @@ TEST(Table, RowWidthMustMatchHeader) {
   EXPECT_THROW(t.row({std::int64_t{1}}), std::logic_error);
 }
 
-TEST(Table, CsvOutput) {
-  Table t("demo");
-  t.header({"a", "b"});
-  t.row({std::int64_t{1}, std::int64_t{2}});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
-TEST(FitLogLog, RecoversExponent) {
-  std::vector<double> xs, ys;
+TEST(LeastSquaresSlope, RecoversLogLogExponent) {
+  std::vector<double> lx, ly;
   for (double x : {16.0, 64.0, 256.0, 1024.0}) {
-    xs.push_back(x);
-    ys.push_back(3.0 * std::pow(x, 1.5));
+    lx.push_back(std::log(x));
+    ly.push_back(std::log(3.0 * std::pow(x, 1.5)));
   }
-  EXPECT_NEAR(fit_log_log_exponent(xs, ys), 1.5, 1e-9);
+  EXPECT_NEAR(least_squares_slope(lx, ly), 1.5, 1e-9);
+  // y = 2 + 0.5x with residuals (+1, -1, -1, +1), which cancel in the
+  // normal equations: the fitted slope is still 0.5.
+  EXPECT_NEAR(least_squares_slope({0, 1, 2, 3}, {3, 1.5, 2, 4.5}), 0.5, 1e-12);
 }
 
-TEST(FitLogLog, IgnoresNonPositivePoints) {
-  std::vector<double> xs{-1.0, 16.0, 64.0, 256.0};
-  std::vector<double> ys{5.0, 4.0, 8.0, 16.0};
-  EXPECT_NEAR(fit_log_log_exponent(xs, ys), 0.5, 1e-9);
-}
-
-TEST(FitLogLog, NeedsTwoPoints) {
-  EXPECT_THROW(fit_log_log_exponent({1.0}, {1.0}), std::logic_error);
-}
-
-TEST(TableCsv, PlainCellsStayUnquoted) {
-  Table t("caption is not emitted");
-  t.header({"n", "value"});
-  t.row({std::int64_t{4}, 1.5});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "n,value\n4,1.5\n");
-}
-
-TEST(TableCsv, Rfc4180QuotesSeparatorsQuotesAndNewlines) {
-  // Cells with commas/quotes used to be emitted raw, shifting every
-  // later column of the row — RFC 4180 requires quoting the cell and
-  // doubling embedded quotes.
-  Table t("csv escaping");
-  t.header({"series, unit", "note"});
-  t.row({std::string("a \"quoted\" name"), std::string("line\nbreak")});
-  t.row({std::string("plain"), std::string("also plain")});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(),
-            "\"series, unit\",note\n"
-            "\"a \"\"quoted\"\" name\",\"line\nbreak\"\n"
-            "plain,also plain\n");
+TEST(LeastSquaresSlope, NeedsTwoDistinctX) {
+  EXPECT_THROW(least_squares_slope({1.0}, {1.0}), std::logic_error);
+  EXPECT_THROW(least_squares_slope({2.0, 2.0}, {1.0, 3.0}), std::logic_error);
+  EXPECT_THROW(least_squares_slope({1.0, 2.0}, {1.0}), std::logic_error);
 }
 
 }  // namespace

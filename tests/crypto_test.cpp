@@ -54,20 +54,29 @@ TEST(Shamir, ThresholdSharesRevealNothing) {
   // fixed, every candidate secret value remains equally consistent — here
   // we verify the weaker observable: the distribution of any single share
   // is uniform regardless of the secret (chi-squared against two very
-  // different secrets over many dealings, coarse buckets).
+  // different secrets over many dealings, coarse buckets). Lemma 1 extends
+  // this to iterated sharing, so the adversary's deepest view — a
+  // 2-share of a re-dealt 1-share — must be just as uniform.
   constexpr int kTrials = 4000, kBuckets = 8;
-  std::map<int, int> hist0, hist1;
-  Rng rng(4);
-  ShamirScheme scheme(5, 2);
-  for (int i = 0; i < kTrials; ++i) {
-    auto s0 = scheme.deal({Fp(0)}, rng);
-    auto s1 = scheme.deal({Fp(123456789)}, rng);
-    ++hist0[static_cast<int>(s0[0].ys[0].value() % kBuckets)];
-    ++hist1[static_cast<int>(s1[0].ys[0].value() % kBuckets)];
-  }
-  for (int b = 0; b < kBuckets; ++b) {
-    EXPECT_NEAR(hist0[b], kTrials / kBuckets, kTrials / kBuckets * 0.35);
-    EXPECT_NEAR(hist1[b], kTrials / kBuckets, kTrials / kBuckets * 0.35);
+  for (int iterations : {1, 2}) {
+    std::map<int, int> hist0, hist1;
+    Rng rng(4);
+    ShamirScheme scheme(5, 2);
+    auto observe = [&](Fp secret) {
+      auto shares = scheme.deal({secret}, rng);
+      if (iterations == 2) return redeal(shares[0], 5, 2, rng)[0].ys[0];
+      return shares[0].ys[0];
+    };
+    for (int i = 0; i < kTrials; ++i) {
+      ++hist0[static_cast<int>(observe(Fp(0)).value() % kBuckets)];
+      ++hist1[static_cast<int>(observe(Fp(123456789)).value() % kBuckets)];
+    }
+    for (int b = 0; b < kBuckets; ++b) {
+      EXPECT_NEAR(hist0[b], kTrials / kBuckets, kTrials / kBuckets * 0.35)
+          << "iterations " << iterations;
+      EXPECT_NEAR(hist1[b], kTrials / kBuckets, kTrials / kBuckets * 0.35)
+          << "iterations " << iterations;
+    }
   }
 }
 

@@ -170,7 +170,7 @@ TEST(RunReport, JsonDoubleRoundTrips) {
 }
 
 TEST(RunScenario, SeedOffsetShiftsEverySeedUniformly) {
-  // Offset k must equal baking k into the seeds (the benches' `base + s`
+  // Offset k must equal baking k into the seeds (the experiments' `base + s`
   // sweep contract).
   const ScenarioSpec base = ScenarioRegistry::get("e9_benor_small");
   const RunReport shifted = sim::run_scenario(base, 5);

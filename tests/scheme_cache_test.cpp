@@ -222,68 +222,6 @@ TEST(Gao, RejectsDuplicatePoints) {
   (void)ys;
 }
 
-// ------------------------------------------------- BatchedBerlekampWelch --
-
-TEST(BatchedBerlekampWelch, MatchesPlainBerlekampWelchPerWord) {
-  // Same accept/reject and the same polynomial as the per-word solver,
-  // across error weights from clean to beyond the budget.
-  Rng rng(24);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t degree = 1 + rng.below(5);
-    const std::size_t budget = 1 + rng.below(4);
-    const std::size_t m = degree + 1 + 2 * budget + rng.below(3);
-    std::vector<Fp> xs(m);
-    for (std::size_t i = 0; i < m; ++i) xs[i] = Fp(i * 11 + 3);
-    const std::size_t max_errors = (m - degree - 1) / 2;
-    BatchedBerlekampWelch batched(xs, degree, max_errors);
-    for (int word = 0; word < 8; ++word) {
-      std::vector<Fp> coeffs(degree + 1);
-      for (auto& c : coeffs) c = Fp(rng.next());
-      std::vector<Fp> ys(m);
-      for (std::size_t i = 0; i < m; ++i) ys[i] = poly_eval(coeffs, xs[i]);
-      const std::size_t errors = rng.below(max_errors + 2);
-      for (auto b : rng.sample_without_replacement(m, errors))
-        ys[b] = Fp(rng.next());
-      auto via_plain = berlekamp_welch(xs, ys, degree, max_errors);
-      auto via_batched = batched.decode(ys);
-      ASSERT_EQ(via_plain.has_value(), via_batched.has_value())
-          << "trial " << trial << " word " << word << " errors " << errors;
-      if (!via_plain) continue;
-      for (std::size_t c = 0; c <= degree; ++c) {
-        const Fp p = c < via_plain->size() ? (*via_plain)[c] : Fp(0);
-        const Fp b = c < via_batched->size() ? (*via_batched)[c] : Fp(0);
-        EXPECT_EQ(p.value(), b.value()) << "trial " << trial;
-      }
-    }
-  }
-}
-
-TEST(BatchedBerlekampWelch, ZeroCodewordAndDamagedWordsMatchGao) {
-  // The regression shapes the Gao tests pin down, cross-checked through
-  // the shared factorization: an all-zero message under errors decodes to
-  // zero, and beyond-budget damage rejects.
-  std::vector<Fp> xs{Fp(1), Fp(2), Fp(3), Fp(4), Fp(5)};
-  for (std::size_t degree : {0u, 1u}) {
-    const std::size_t max_errors = (5 - degree - 1) / 2;
-    BatchedBerlekampWelch batched(xs, degree, max_errors);
-    std::vector<Fp> ys{Fp(0), Fp(7), Fp(0), Fp(0), Fp(0)};
-    auto via_batched = batched.decode(ys);
-    auto via_gao = gao_decode(xs, ys, degree, max_errors);
-    ASSERT_TRUE(via_batched.has_value()) << "degree " << degree;
-    ASSERT_TRUE(via_gao.has_value());
-    EXPECT_EQ((*via_batched)[0], Fp(0));
-  }
-  BatchedBerlekampWelch b0(xs, 0, 2);
-  std::vector<Fp> noisy{Fp(0), Fp(7), Fp(8), Fp(9), Fp(0)};
-  EXPECT_FALSE(b0.decode(noisy).has_value());
-  EXPECT_FALSE(gao_decode(xs, noisy, 0, 2).has_value());
-}
-
-TEST(BatchedBerlekampWelch, RejectsDuplicatePoints) {
-  std::vector<Fp> xs{Fp(1), Fp(1), Fp(2), Fp(3), Fp(4)};
-  EXPECT_THROW(BatchedBerlekampWelch(xs, 0, 1), std::logic_error);
-}
-
 // -------------------------------------------------------- RobustDecoder --
 
 TEST(RobustDecoder, MatchesRobustReconstructUnderCorruption) {

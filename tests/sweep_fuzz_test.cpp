@@ -11,7 +11,10 @@
 //  * aggregation — rates/medians over a synthetic report set, and the
 //    exponent fit recovers a planted √n · log³ curve;
 //  * the fuzzer itself — a bounded smoke sweep (the CI job runs 1000+)
-//    with every invariant holding.
+//    with every invariant holding;
+//  * the experiment registry (sim/experiments.h) — every E-grid expands
+//    over registry scenarios into round-tripping job lines, and a
+//    projection run on a shrunken grid emits well-formed tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/experiments.h"
 #include "sim/protocol.h"
 #include "sim/sweep.h"
 
@@ -286,6 +290,82 @@ TEST(Fuzz, PrefixReproducibility) {
     const ScenarioSpec sp1 = sim::random_spec(sa);
     const ScenarioSpec sp2 = sim::random_spec(sb);
     EXPECT_EQ(sp1, sp2) << i;
+  }
+}
+
+// --------------------------------------------------------- experiments --
+
+TEST(Experiments, EveryGridExpandsOverRegistryScenariosAndRoundTrips) {
+  for (const sim::Experiment& e : sim::experiments()) {
+    for (bool full : {false, true}) {
+      bool resolved_full = !full;
+      ASSERT_EQ(sim::find_experiment(e.name + (full ? "_full" : ""),
+                                     &resolved_full),
+                &e);
+      EXPECT_EQ(resolved_full, full);
+      const sim::ExperimentPlan plan = e.plan(full);
+      ASSERT_FALSE(plan.axes.empty()) << e.name;
+      for (const sim::GridAxis& axis : plan.axes)
+        ASSERT_NE(ScenarioRegistry::find(axis.scenario), nullptr)
+            << e.name << " names unknown scenario " << axis.scenario;
+      for (const SweepJob& job : sim::expand_grid(plan.axes)) {
+        const std::string line = sim::format_job_line(job);
+        const SweepJob parsed = sim::parse_job_line(line);
+        EXPECT_EQ(parsed.seed_offset, job.seed_offset) << e.name;
+        EXPECT_EQ(parsed.spec, job.spec) << e.name;
+        EXPECT_EQ(sim::format_job_line(parsed), line) << e.name;
+      }
+    }
+  }
+  for (const char* other : {"default", "e5", "e1_fast", "_full"})
+    EXPECT_EQ(sim::find_experiment(other, nullptr), nullptr) << other;
+}
+
+/// The quick plan of experiment `name`, every axis shrunk to n = 16 and
+/// one seed.
+sim::ExperimentPlan shrunk_plan(const std::string& name) {
+  const sim::Experiment* e = sim::find_experiment(name, nullptr);
+  EXPECT_NE(e, nullptr) << name;
+  sim::ExperimentPlan plan =
+      e != nullptr ? e->plan(false) : sim::ExperimentPlan{};
+  for (sim::GridAxis& axis : plan.axes) {
+    axis.n_values = {16};
+    axis.seeds = 1;
+  }
+  return plan;
+}
+
+TEST(Experiments, ProjectionRowsMatchTheirHeaders) {
+  // E11 on a two-job grid: the coin-quality axis and the E11b sequence
+  // run, both at n = 16.
+  const sim::ExperimentPlan plan = shrunk_plan("e11");
+  ASSERT_EQ(sim::expand_grid(plan.axes).size(), 2u);
+  std::ostringstream ndjson;
+  const std::vector<Table> tables = sim::run_experiment(plan, &ndjson);
+  ASSERT_EQ(tables.size(), 2u);
+  for (const Table& t : tables) {
+    ASSERT_GT(t.num_rows(), 0u) << t.caption();
+    for (const auto& row : t.rows())
+      EXPECT_EQ(row.size(), t.num_cols()) << t.caption();
+  }
+  // The --out stream: one parseable report per job.
+  std::istringstream lines(ndjson.str());
+  std::size_t reports = 0;
+  for (std::string line; std::getline(lines, line); ++reports)
+    EXPECT_EQ(sim::parse_report_json(line).n, 16u);
+  EXPECT_EQ(reports, 2u);
+}
+
+TEST(Experiments, ArrayElectionCommitteeColumnIsNotApplicable) {
+  // E10's array-election rows have no committee to measure; the column
+  // must say so rather than print a constant as if it were measured.
+  const Table t = sim::run_experiment(shrunk_plan("e10"), nullptr).front();
+  ASSERT_EQ(t.num_rows(), 4u);
+  for (const auto& row : t.rows()) {
+    const bool array =
+        std::get<std::string>(row.front()).rfind("array-election", 0) == 0;
+    EXPECT_EQ(row.back(), array ? Cell(std::string("n/a"))
+                                : Cell(std::get<double>(row.back())));
   }
 }
 

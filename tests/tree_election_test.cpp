@@ -224,32 +224,59 @@ TEST(Election, RejectsMismatchedSizes) {
   EXPECT_THROW(lightest_bin_winners(bins, ep), std::logic_error);
 }
 
-// Lemma 4 (statistical): with 2/3 of bin choices honest-random and the
-// rest adversarial ("stuff the lightest bin"), the fraction of good
-// winners stays near the good fraction, on average over many elections.
-TEST(Election, GoodWinnerFractionSurvivesStuffing) {
-  Rng rng(13);
-  const std::size_t r = 64, w = 8;
-  const std::size_t good = 2 * r / 3, bad = r - good;
+/// Good-winner fraction of `trials` Feige elections over r candidates:
+/// the first 2r/3 bin choices honest-random, the rest placed by `attack`
+/// after seeing them (Lemma 4's setting).
+std::vector<double> good_winner_fractions(
+    std::size_t r, std::size_t w, decltype(&bins_with_stuffing) attack,
+    int trials, std::uint64_t seed) {
+  const std::size_t good = 2 * r / 3;
   ElectionParams ep{r, w};
-  const std::size_t nbins = ep.num_bins();
-  double good_winner_sum = 0;
-  const int kTrials = 400;
-  for (int trial = 0; trial < kTrials; ++trial) {
+  Rng rng(seed);
+  std::vector<double> out;
+  for (int trial = 0; trial < trials; ++trial) {
     std::vector<std::uint32_t> gbins(good);
-    for (auto& b : gbins) b = static_cast<std::uint32_t>(rng.below(nbins));
-    auto bins = bins_with_stuffing(gbins, bad, nbins);
-    auto winners = lightest_bin_winners(bins, ep);
+    for (auto& b : gbins)
+      b = static_cast<std::uint32_t>(rng.below(ep.num_bins()));
+    auto winners =
+        lightest_bin_winners(attack(gbins, r - good, ep.num_bins()), ep);
     std::size_t good_winners = 0;
     for (auto c : winners) good_winners += c < good ? 1 : 0;
-    good_winner_sum +=
-        static_cast<double>(good_winners) / static_cast<double>(winners.size());
+    out.push_back(static_cast<double>(good_winners) /
+                  static_cast<double>(winners.size()));
   }
-  const double mean = good_winner_sum / kTrials;
-  // The adversary always joins the lightest bin, so it always places its
-  // candidates among the winners — but it cannot push good winners below
-  // a constant fraction (Lemma 4's |S|/r - theta shape).
-  EXPECT_GT(mean, 0.35);
+  return out;
+}
+
+// Lemma 4 (statistical): the fraction of good winners stays near the good
+// fraction on average. Stuffing the lightest bin always places the
+// adversary among the winners but cannot push good winners below a
+// constant fraction (|S|/r - theta); spreading buys it nothing.
+TEST(Election, GoodWinnerFractionSurvivesStuffing) {
+  for (auto [attack, floor] : {std::pair{bins_with_stuffing, 0.35},
+                               std::pair{bins_with_spread, 0.6}}) {
+    const auto fractions = good_winner_fractions(64, 8, attack, 400, 13);
+    double sum = 0;
+    for (double f : fractions) sum += f;
+    EXPECT_GT(sum / static_cast<double>(fractions.size()), floor);
+  }
+}
+
+// Lemma 4's failure exponent is 2|S| / (3 numBins), the honest bin load:
+// at r = 512 under stuffing, the rate at which good winners fall below
+// |S|/r - 0.15 shrinks as the load grows (fewer winners, fuller bins).
+TEST(Election, FailRateFallsAsBinLoadRises) {
+  std::vector<double> fail_rates;
+  for (std::size_t w : {4u, 16u, 128u}) {  // bin load 2.7, 10.7, 85.3
+    const auto fractions =
+        good_winner_fractions(512, w, bins_with_stuffing, 800, 31 + w);
+    double fails = 0;
+    for (double f : fractions) fails += f < 2.0 / 3.0 - 0.15 ? 1 : 0;
+    fail_rates.push_back(fails / static_cast<double>(fractions.size()));
+  }
+  EXPECT_GT(fail_rates[0], fail_rates[1]);
+  EXPECT_GT(fail_rates[1], fail_rates[2]);
+  EXPECT_LT(fail_rates[2], 0.05);
 }
 
 class ElectionGrid

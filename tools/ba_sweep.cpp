@@ -3,6 +3,8 @@
 //
 //   ba_sweep --grid default --jobs 2
 //            --out runs.ndjson --ledger BENCH_protocol.json
+//   ba_sweep --grid e1 [--out runs.ndjson]   # paper experiment E1 (quick)
+//   ba_sweep --grid e1_full                  # ... with the full sweep
 //   ba_sweep --print-jobs --grid default     # job lines, no runs
 //   ba_sweep --fuzz 1000 [--seed S | --seed-from-ci] [--ndjson path]
 //   ba_sweep --replay 'seed_offset=0 name=... protocol=...'
@@ -16,6 +18,11 @@
 // exponent of max-bits vs n for the everywhere-BA family, gated at
 // kLog3ExponentCeiling (the Õ(√n) story).
 //
+// Experiment grids (eK, eK_full: sim/experiments.h) run in-process, one
+// job at a time with the worker pool parallel inside each run, and print
+// the experiment's paper tables to stdout: their projections need each
+// report's detail block, which the NDJSON stream does not carry.
+//
 // Fuzz mode generates `count` random valid specs, drives each through
 // every cross-cutting invariant (sim/sweep.h check_job), and prints any
 // failure with its replayable key=value artifact. --replay re-checks one
@@ -23,6 +30,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <climits>
 #include <csignal>
@@ -35,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/experiments.h"
 #include "sim/protocol.h"
 #include "sim/sweep.h"
 
@@ -48,10 +57,12 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --grid default [--jobs N] [--out runs.ndjson]\n"
       "          [--ledger BENCH_protocol.json] [--shard-timeout SECONDS]\n"
-      "       %s --print-jobs [--grid default]\n"
+      "       %s --grid eK[_full] [--out runs.ndjson]\n"
+      "       %s --print-jobs [--grid default | --grid eK[_full]]\n"
       "       %s --fuzz COUNT [--seed S | --seed-from-ci] [--ndjson path]\n"
-      "       %s --replay 'seed_offset=K key=value ...'\n",
-      argv0, argv0, argv0, argv0);
+      "       %s --replay 'seed_offset=K key=value ...'\n"
+      "experiment grids eK: K in 1-4, 6, 7, 9-13\n",
+      argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -99,12 +110,47 @@ pid_t spawn_shard(const std::string& ba_run, const std::string& prefix,
   return pid;
 }
 
+/// An experiment grid: in-process jobs, tables on stdout.
+int run_experiment_grid(const std::string& grid_name,
+                        const ba::sim::Experiment& experiment, bool full,
+                        std::size_t jobs_procs, const std::string& out_path,
+                        const std::string& ledger_path, bool print_jobs) {
+  const ba::sim::ExperimentPlan plan = experiment.plan(full);
+  const std::vector<SweepJob> jobs = ba::sim::expand_grid(plan.axes);
+  if (print_jobs) {
+    for (const SweepJob& job : jobs)
+      std::cout << ba::sim::format_job_line(job) << '\n';
+    return 0;
+  }
+  if (jobs_procs > 1 || !ledger_path.empty()) {
+    std::fprintf(stderr,
+                 "grid %s: experiment grids run in-process and print "
+                 "tables; --jobs N>1 and --ledger apply to 'default'\n",
+                 grid_name.c_str());
+    return 2;
+  }
+  std::ofstream out;
+  if (!out_path.empty()) out.open(out_path);
+  std::fprintf(stderr, "grid %s: %zu jobs in-process\n", grid_name.c_str(),
+               jobs.size());
+  for (const ba::Table& t :
+       ba::sim::run_experiment(plan, out_path.empty() ? nullptr : &out)) {
+    t.print(std::cout);
+    std::cout << '\n';
+  }
+  return 0;
+}
+
 int run_grid(const std::string& grid_name, std::size_t jobs_procs,
              const std::string& out_path, const std::string& ledger_path,
              bool print_jobs, long shard_timeout_s) {
+  bool full = false;
+  if (const ba::sim::Experiment* e =
+          ba::sim::find_experiment(grid_name, &full))
+    return run_experiment_grid(grid_name, *e, full, jobs_procs, out_path,
+                               ledger_path, print_jobs);
   if (grid_name != "default") {
-    std::fprintf(stderr, "unknown grid: %s (only 'default' is defined)\n",
-                 grid_name.c_str());
+    std::fprintf(stderr, "unknown grid: %s\n", grid_name.c_str());
     return 2;
   }
   const std::vector<SweepJob> jobs =
@@ -114,7 +160,7 @@ int run_grid(const std::string& grid_name, std::size_t jobs_procs,
       std::cout << ba::sim::format_job_line(job) << '\n';
     return 0;
   }
-  if (jobs_procs == 0) jobs_procs = 1;
+  if (jobs_procs == 0) jobs_procs = 2;  // unset: two shards
   if (jobs_procs > jobs.size()) jobs_procs = jobs.size();
   std::fprintf(stderr, "grid %s: %zu jobs across %zu process%s\n",
                grid_name.c_str(), jobs.size(), jobs_procs,
@@ -124,15 +170,10 @@ int run_grid(const std::string& grid_name, std::size_t jobs_procs,
   std::vector<std::string> lines;
   lines.reserve(jobs.size());
   if (jobs_procs == 1) {
-    // In-process fallback: same artifact path (format -> parse -> run)
-    // as the sharded mode, so both modes exercise the job-line grammar.
+    // In-process fallback: same artifact path as the sharded mode.
     for (const SweepJob& job : jobs) {
-      const SweepJob parsed =
-          ba::sim::parse_job_line(ba::sim::format_job_line(job));
-      const RunReport r =
-          ba::sim::run_scenario(parsed.spec, parsed.seed_offset);
       std::ostringstream os;
-      r.write_json(os, /*include_timing=*/true);
+      ba::sim::run_job(job).write_json(os, /*include_timing=*/true);
       lines.push_back(os.str());
     }
   } else {
@@ -271,7 +312,7 @@ int run_grid(const std::string& grid_name, std::size_t jobs_procs,
 
 int main(int argc, char** argv) {
   std::string grid_name, out_path, ledger_path, ndjson_path, replay_line;
-  std::size_t jobs_procs = 2;
+  std::size_t jobs_procs = 0;  // 0 = the grid's default
   long shard_timeout_s = 3600;
   std::size_t fuzz_count = 0;
   std::uint64_t fuzz_seed = 1;
@@ -287,7 +328,8 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--grid") grid_name = next();
-    else if (arg == "--jobs") jobs_procs = std::strtoul(next(), nullptr, 10);
+    else if (arg == "--jobs")  // --jobs 0 runs in-process, like --jobs 1
+      jobs_procs = std::max(1UL, std::strtoul(next(), nullptr, 10));
     else if (arg == "--shard-timeout")
       shard_timeout_s = std::strtol(next(), nullptr, 10);
     else if (arg == "--out") out_path = next();
